@@ -3,14 +3,7 @@
 from .buffers import BufferPlan, FiltrationBuffers, plan_buffers
 from .config import EncodingActor, SystemConfiguration
 from .filter import GateKeeperGPU
-from .kernel import (
-    device_encode,
-    fold_words_to_base_mask,
-    run_gatekeeper_kernel,
-    shift_words_left,
-    shift_words_right,
-    xor_words,
-)
+from .kernel import device_encode, run_gatekeeper_kernel
 # Public compatibility re-export of the package's own defining module, not a
 # new internal call site on the deprecated façade.
 from .pipeline import FilteringPipeline, PipelineReport  # reprolint: disable=deprecated-facade-imports
@@ -25,11 +18,7 @@ __all__ = [
     "SystemConfiguration",
     "GateKeeperGPU",
     "device_encode",
-    "fold_words_to_base_mask",
     "run_gatekeeper_kernel",
-    "shift_words_left",
-    "shift_words_right",
-    "xor_words",
     "FilteringPipeline",
     "PipelineReport",
     "PreparedBatch",

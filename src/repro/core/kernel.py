@@ -14,12 +14,19 @@ vectorised over all pairs of a batch:
 5. amend short zero streaks, force the vacated edge bits to 1
    (the GateKeeper-GPU improvement), AND all masks and count edits.
 
-Steps 3-5 stay entirely in the packed ``uint64`` lane representation
-(:mod:`repro.filters.packed`) — no per-base array is ever materialised, which
-is what makes each filtration a handful of bit-parallel word operations, as
-the paper's design intends.  The property tests verify that this packed
-pipeline produces decisions and estimates bit-identical to the per-base
-reference implementation (:mod:`repro.filters.bitvector`).
+The NumPy kernel runs word-major and in row blocks.  Each block of
+:data:`BLOCK_PAIRS` pairs is transposed once to ``(n_words, n_pairs)``, so
+word ``w`` of every pair in the block is one contiguous row: a shift with
+carry is a shift of the block plus a shift of the block offset by one row,
+and a shift of ``2k >= 64`` bits is a whole-row offset.  The ``2e+1`` masks
+are built one at a time in a handful of scratch blocks that are allocated
+once per call and reused through ufunc ``out=``; each mask is amended,
+edge-forced and ANDed into the running result before the next is built.
+Masks stay in the packed ``uint64`` lane representation
+(:mod:`repro.filters.packed`) throughout — no per-base array is ever
+materialised.  The property tests verify that this pipeline produces
+estimates bit-identical to the per-base reference implementation
+(:mod:`repro.filters.bitvector`).
 """
 
 from __future__ import annotations
@@ -29,21 +36,12 @@ import numpy as np
 from ..filters.batch import BatchFilterOutput
 from ..filters.masks import EdgePolicy
 from ..filters.native import DEFAULT_KERNEL_TIER, resolve
-from ..filters.packed import (
-    amend_lanes,
-    count_lane_windows,
-    lane_span_mask,
-    shifted_mismatch_lanes,
-)
-from ..genomics.encoding import BASES_PER_WORD_64, pack_codes_to_words
-from .config import EncodingActor
+from ..filters.packed import count_lane_windows, lane_span_mask
+from ..genomics.encoding import pack_codes_to_words
 
 __all__ = [
+    "BLOCK_PAIRS",
     "device_encode",
-    "shift_words_right",
-    "shift_words_left",
-    "xor_words",
-    "fold_words_to_base_mask",
     "gatekeeper_kernel",
     "run_gatekeeper_kernel",
 ]
@@ -51,6 +49,10 @@ __all__ = [
 _WORD_BITS = 64
 _UINT64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Pairs per row block.  Measured on a 2-CPU host with 2 MiB of L2 per core:
+#: the ~10 word-major scratch blocks of a 100 bp batch then stay in L2.
+BLOCK_PAIRS = 4096
 
 
 def device_encode(codes: np.ndarray) -> np.ndarray:
@@ -62,66 +64,55 @@ def device_encode(codes: np.ndarray) -> np.ndarray:
     return pack_codes_to_words(codes, word_bits=_WORD_BITS)
 
 
-def shift_words_right(words: np.ndarray, k_bases: int) -> np.ndarray:
-    """Shift a word-array bit-vector right by ``k_bases`` bases with carry transfer.
+def _shift_rows(src: np.ndarray, bits: int, out: np.ndarray, carry: np.ndarray) -> None:
+    """Shift a word-major ``(n_words, n)`` bit-vector block by ``bits`` into ``out``.
 
-    "Right" moves the read towards higher base indices (deletion masks); the
-    vacated leading bases become zero.  ``words`` has shape
-    ``(n_pairs, n_words)`` with the first base in the most significant bits of
-    word 0.
+    Positive ``bits`` move content towards higher base indices (row 0 holds
+    the first bases), negative ``bits`` towards lower ones; zeros are shifted
+    in.  Whole words become a row offset, the remainder a sub-word shift whose
+    carry comes from the neighbouring row through the ``carry`` scratch.
     """
-    if k_bases == 0:
-        return words.copy()
-    bits = 2 * k_bases
-    if bits >= _WORD_BITS:
-        raise ValueError("shift must be smaller than the word size (32 bases)")
-    words = words.astype(_UINT64, copy=False)
-    shifted = words >> _UINT64(bits)
-    # Carry: the low bits of word i-1 become the high bits of word i.
-    carry = (words[:, :-1] << _UINT64(_WORD_BITS - bits)) & _ALL_ONES
-    shifted[:, 1:] |= carry
-    return shifted
+    n_words = src.shape[0]
+    rows, sub = divmod(abs(bits), _WORD_BITS)
+    if rows >= n_words:
+        out.fill(0)
+        return
+    kept = n_words - rows
+    spill = carry[: kept - 1]
+    if bits >= 0:
+        np.right_shift(src[:kept], _UINT64(sub), out=out[rows:])
+        if sub and kept > 1:
+            np.left_shift(src[: kept - 1], _UINT64(_WORD_BITS - sub), out=spill)
+            np.bitwise_or(out[rows + 1 :], spill, out=out[rows + 1 :])
+        out[:rows] = 0
+    else:
+        np.left_shift(src[rows:], _UINT64(sub), out=out[:kept])
+        if sub and kept > 1:
+            np.right_shift(src[rows + 1 :], _UINT64(_WORD_BITS - sub), out=spill)
+            np.bitwise_or(out[: kept - 1], spill, out=out[: kept - 1])
+        out[kept:] = 0
 
 
-def shift_words_left(words: np.ndarray, k_bases: int) -> np.ndarray:
-    """Shift a word-array bit-vector left by ``k_bases`` bases with carry transfer.
+def _mask_plan(
+    length: int, n_words: int, e: int
+) -> list[tuple[int, np.ndarray, slice, np.ndarray]]:
+    """Per mask ``(shift, keep, edge_rows, vacated)``, shifts 0, +1, -1, ..., +e, -e.
 
-    "Left" moves the read towards lower base indices (insertion masks); the
-    vacated trailing bases become zero.
+    ``vacated`` is the ``(n_words, 1)`` lane column of the positions with no
+    read base to compare, ``edge_rows`` the rows it touches and ``keep`` the
+    lanes inside the sequence and outside the vacated span.
     """
-    if k_bases == 0:
-        return words.copy()
-    bits = 2 * k_bases
-    if bits >= _WORD_BITS:
-        raise ValueError("shift must be smaller than the word size (32 bases)")
-    words = words.astype(_UINT64, copy=False)
-    shifted = (words << _UINT64(bits)) & _ALL_ONES
-    # Carry: the high bits of word i+1 become the low bits of word i.
-    carry = words[:, 1:] >> _UINT64(_WORD_BITS - bits)
-    shifted[:, :-1] |= carry
-    return shifted
-
-
-def xor_words(read_words: np.ndarray, ref_words: np.ndarray) -> np.ndarray:
-    """Bitwise XOR of two word arrays (the Hamming mask in 2-bit space)."""
-    return np.bitwise_xor(read_words.astype(_UINT64), ref_words.astype(_UINT64))
-
-
-def fold_words_to_base_mask(xor_result: np.ndarray, length: int) -> np.ndarray:
-    """OR-fold each 2-bit group of the XOR result into one bit per base.
-
-    Returns a ``(n_pairs, length)`` uint8 array where 1 marks a differing base.
-    """
-    xor_result = xor_result.astype(_UINT64, copy=False)
-    folded = xor_result | (xor_result >> _UINT64(1))
-    n_pairs, n_words = folded.shape
-    # Bit position of the low bit of base b within its word (MSB-first layout).
-    base_bit_positions = (2 * (BASES_PER_WORD_64 - 1 - np.arange(BASES_PER_WORD_64))).astype(
-        np.uint64
-    )
-    expanded = (folded[:, :, np.newaxis] >> base_bit_positions) & _UINT64(1)
-    mask = expanded.reshape(n_pairs, n_words * BASES_PER_WORD_64)[:, :length]
-    return mask.astype(np.uint8)
+    valid = lane_span_mask(0, length, n_words)
+    spans = [(0, 0, 0)]
+    for k in range(1, e + 1):
+        spans += [(k, 0, min(k, length)), (-k, length - k, length)]
+    plan = []
+    for shift, start, stop in spans:
+        vacated = lane_span_mask(start, stop, n_words)
+        touched = np.flatnonzero(vacated)
+        rows = slice(int(touched[0]), int(touched[-1]) + 1) if touched.size else slice(0, 0)
+        plan.append((shift, (valid & ~vacated)[:, None], rows, vacated[:, None]))
+    return plan
 
 
 def gatekeeper_kernel(
@@ -136,37 +127,67 @@ def gatekeeper_kernel(
     """Pure-NumPy GateKeeper estimates for a batch of packed pairs.
 
     The registered reference implementation of the ``gatekeeper_kernel``
-    native pair: masks are produced, amended, edge-forced and ANDed in the
-    packed ``uint64`` lane representation, and the returned int32 estimates
-    are bit-identical to the Numba twin's.
+    native pair.  Pairs are processed word-major in blocks of
+    :data:`BLOCK_PAIRS`; every mask is produced, amended, edge-forced and
+    ANDed in the packed ``uint64`` lane representation, and the returned
+    int32 estimates are bit-identical to the Numba twin's.
     """
+    if max_zero_run not in (1, 2):
+        raise ValueError("gatekeeper_kernel supports max_zero_run of 1 or 2")
     n_pairs, n_words = read_words.shape
-    e = int(error_threshold)
-    shifts = [0] + [s for k in range(1, e + 1) for s in (k, -k)]
-    valid = lane_span_mask(0, length, n_words)
+    estimates = np.zeros(n_pairs, dtype=np.int32)
+    if n_pairs == 0 or length == 0:
+        return estimates
+    plan = _mask_plan(length, n_words, int(error_threshold))
+    width = min(BLOCK_PAIRS, n_pairs)
+    read, ref, final, mask, shifted, prev1, next1, next2, prev2, carry = (
+        np.empty((n_words, width), dtype=_UINT64) for _ in range(10)
+    )
+    one = _UINT64(1)
 
-    masks = np.empty((len(shifts), n_pairs, n_words), dtype=np.uint64)
-    vacated_spans: list[np.ndarray | None] = []
-    for row, shift in enumerate(shifts):
-        # Vacated positions carry garbage comparisons (shifted-in zero bits vs
-        # reference); vacant_value=0 normalises them to the raw-mask
-        # convention before amendment, exactly as the scalar reference does.
-        masks[row], vacated = shifted_mismatch_lanes(
-            read_words, ref_words, shift, length, vacant_value=0, valid=valid
-        )
-        vacated_spans.append(vacated)
+    for start in range(0, n_pairs, width):
+        stop = min(start + width, n_pairs)
+        n = stop - start
+        r, f, acc, m, s = read[:, :n], ref[:, :n], final[:, :n], mask[:, :n], shifted[:, :n]
+        p1, n1, n2, p2, c = prev1[:, :n], next1[:, :n], next2[:, :n], prev2[:, :n], carry[:, :n]
+        r[...] = read_words[start:stop].T
+        f[...] = ref_words[start:stop].T
+        acc.fill(_ALL_ONES)
+        for shift, keep, edge_rows, vacated in plan:
+            # Mask: position j compares read[j - shift] with ref[j]; OR-fold
+            # each 2-bit group onto its lane bit, then clear the padding and
+            # vacated lanes (the raw-mask convention the amendment expects).
+            if shift:
+                _shift_rows(r, 2 * shift, s, c)
+                np.bitwise_xor(s, f, out=m)
+            else:
+                np.bitwise_xor(r, f, out=m)
+            np.right_shift(m, one, out=s)
+            np.bitwise_or(m, s, out=m)
+            np.bitwise_and(m, keep, out=m)
+            # Amendment: a zero is flipped when it sits in a run of at most
+            # max_zero_run zeros flanked by ones, i.e. when m[j-1] & m[j+1]
+            # (single zero), or, for runs of two, m[j-1] & m[j+2] or
+            # m[j-2] & m[j+1].  Zeros shifted in at the edges leave runs
+            # touching either boundary untouched.
+            _shift_rows(m, 2, p1, c)
+            _shift_rows(m, -2, n1, c)
+            if max_zero_run == 2:
+                _shift_rows(m, -4, n2, c)
+                _shift_rows(m, 4, p2, c)
+                np.bitwise_or(n2, n1, out=n2)
+                np.bitwise_and(n2, p1, out=n2)
+                np.bitwise_and(n1, p2, out=n1)
+                np.bitwise_or(m, n2, out=m)
+            else:
+                np.bitwise_and(n1, p1, out=n1)
+            np.bitwise_or(m, n1, out=m)
+            if edge_one:
+                np.bitwise_or(m[edge_rows], vacated[edge_rows], out=m[edge_rows])
+            np.bitwise_and(acc, m, out=acc)
+        estimates[start:stop] = count_lane_windows(acc.T, length, window=count_window)
 
-    # One amendment pass over the whole (2e+1, n_pairs, n_words) mask stack —
-    # the streak repair is positionally local, so stacking the masks costs
-    # nothing semantically and collapses 2e+1 kernel invocations into one.
-    masks = amend_lanes(masks, valid, max_zero_run=max_zero_run)
-    if edge_one:
-        for row, vacated in enumerate(vacated_spans):
-            if vacated is not None:
-                masks[row] |= vacated
-    final = np.bitwise_and.reduce(masks, axis=0)
-
-    return count_lane_windows(final, length, window=count_window).astype(np.int32)
+    return estimates
 
 
 def run_gatekeeper_kernel(

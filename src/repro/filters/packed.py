@@ -89,9 +89,8 @@ def shift_words_right_bits(words: np.ndarray, bits: int) -> np.ndarray:
     """Shift a ``(..., n_words)`` bit-vector right by ``bits``, zeros shifted in.
 
     "Right" moves content towards higher base indices (word 0 holds the first
-    bases).  Unlike the 32-base-limited kernel helpers, any non-negative
-    distance is supported: whole words are relocated first, the remainder is a
-    sub-word shift with explicit carry transfer.
+    bases).  Any non-negative distance is supported: whole words are relocated
+    first, the remainder is a sub-word shift with explicit carry transfer.
     """
     if bits < 0:
         raise ValueError("bits must be non-negative")
@@ -263,7 +262,9 @@ def count_lane_windows(
         return np.zeros(masks.shape[:-1], dtype=np.int32)
     if window >= 1 and BASES_PER_WORD_64 % window == 0:
         group_bits = 2 * window
-        folded = masks.copy()
+        # order="K" keeps a word-major (transposed) input word-major, so the
+        # folds below run over contiguous rows instead of a strided copy.
+        folded = masks.copy(order="K")
         shift = 2
         while shift < group_bits:
             folded |= folded >> _U64(shift)

@@ -253,6 +253,12 @@ class ReproServer:
         # than leaving its client hanging.
         self._flush_queue()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the accept thread exits at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # not connected on some platforms; close suffices
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - close is best-effort

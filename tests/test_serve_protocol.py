@@ -289,6 +289,15 @@ class TestGracefulDrain:
         server.stop()
         server.stop()
 
+    def test_stop_on_idle_server_returns_promptly(self):
+        server = ReproServer(port=0).start()
+        accept_thread = server._accept_thread
+        assert accept_thread is not None and accept_thread.is_alive()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not accept_thread.is_alive()
+
 
 class TestSigtermEndToEnd:
     """A real ``repro serve`` process: SIGTERM drains, answers, exits 0."""
