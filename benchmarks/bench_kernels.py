@@ -14,6 +14,12 @@ GIL and is reported for contrast).  Results go to ``BENCH_kernels.json``;
 without Numba the native sections record ``"native_available": false`` and
 only the reference numbers.
 
+A ``verifier`` section times the verification stage on the survivors of a
+GateKeeper-GPU -> SneakySnake cascade over Set 3: the scalar per-pair
+``banded_edit_distance`` loop (the test oracle) against one batched
+``banded_edit_distances`` call (the production path), asserting identical
+distances before any timing.
+
 Environment knobs: ``REPRO_BENCH_KERNELS_PAIRS`` (default 20,000),
 ``REPRO_BENCH_KERNELS_OUTPUT``, ``REPRO_BENCH_KERNELS_REPEATS``,
 ``REPRO_BENCH_KERNELS_WORKERS`` (comma-separated thread counts, default 1,2,4).
@@ -31,9 +37,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.align import banded_edit_distance, banded_edit_distances  # noqa: E402
 from repro.api import SCHEMA_VERSION  # noqa: E402
 
-from repro.engine import FilterEngine  # noqa: E402
+from repro.engine import FilterCascade, FilterEngine  # noqa: E402
 from repro.exec import create_executor  # noqa: E402
 from repro.filters.native import numba_available  # noqa: E402
 from repro.simulate.datasets import build_dataset  # noqa: E402
@@ -41,6 +48,8 @@ from repro.simulate.datasets import build_dataset  # noqa: E402
 N_PAIRS = int(os.environ.get("REPRO_BENCH_KERNELS_PAIRS", "20000"))
 ERROR_THRESHOLD = 5
 FILTERS = ["gatekeeper-gpu", "sneakysnake", "magnet"]
+VERIFY_DATASET = "Set 3"
+VERIFY_CASCADE = ["gatekeeper-gpu", "sneakysnake"]
 OUTPUT = Path(os.environ.get("REPRO_BENCH_KERNELS_OUTPUT", "BENCH_kernels.json"))
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNELS_REPEATS", "3"))
 WORKER_COUNTS = [
@@ -68,6 +77,46 @@ def assert_identical(name, reference, candidate):
         raise SystemExit(f"{name}: accepted vectors differ between tiers")
     if not np.array_equal(reference.estimated_edits, candidate.estimated_edits):
         raise SystemExit(f"{name}: estimated_edits differ between tiers")
+
+
+def bench_verifier():
+    """Scalar vs batched banded verification of a cascade's survivors."""
+    dataset = build_dataset(VERIFY_DATASET, n_pairs=N_PAIRS, seed=42)
+    cascade = FilterCascade(
+        [
+            FilterEngine(name, read_length=dataset.read_length, error_threshold=ERROR_THRESHOLD)
+            for name in VERIFY_CASCADE
+        ]
+    )
+    survivors = cascade.filter_dataset(dataset).accepted_indices().tolist()
+    reads = [dataset.reads[i] for i in survivors]
+    segments = [dataset.segments[i] for i in survivors]
+
+    def scalar():
+        return [
+            banded_edit_distance(read, segment, ERROR_THRESHOLD)
+            for read, segment in zip(reads, segments)
+        ]
+
+    def batched():
+        return banded_edit_distances(reads, segments, ERROR_THRESHOLD)
+
+    reference = scalar()
+    distances = batched()
+    if distances.tolist() != reference:
+        raise SystemExit("verifier: batched distances differ from the scalar oracle")
+    _, t_scalar = timed(scalar)
+    _, t_batched = timed(batched)
+    return {
+        "dataset": VERIFY_DATASET,
+        "cascade": VERIFY_CASCADE,
+        "n_pairs": N_PAIRS,
+        "n_survivors": len(survivors),
+        "n_verified_accepts": int((distances <= ERROR_THRESHOLD).sum()),
+        "scalar_pairs_per_s": round(len(survivors) / t_scalar, 1),
+        "batched_pairs_per_s": round(len(survivors) / t_batched, 1),
+        "speedup": round(t_scalar / t_batched, 1),
+    }
 
 
 def main() -> int:
@@ -141,6 +190,7 @@ def main() -> int:
         "native_available": native,
         "kernels": kernels,
         "threads_scaling": scaling,
+        "verifier": bench_verifier(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,6 +1,6 @@
 """Sequence alignment and verification substrate (the Edlib/DP ground truth)."""
 
-from .banded import banded_edit_distance, within_threshold
+from .banded import banded_edit_distance, banded_edit_distances, within_threshold
 from .edit_distance import dp_edit_distance, edit_distance, myers_edit_distance
 from .needleman_wunsch import AlignmentResult, alignment_to_cigar, needleman_wunsch
 from .smith_waterman import LocalAlignmentResult, smith_waterman
@@ -13,6 +13,7 @@ from .verification import (
 
 __all__ = [
     "banded_edit_distance",
+    "banded_edit_distances",
     "within_threshold",
     "dp_edit_distance",
     "edit_distance",

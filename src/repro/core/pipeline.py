@@ -255,14 +255,13 @@ class FilteringPipeline:
         wall = 0.0
         if verify:
             start = time.perf_counter()
-            for index in surviving:
-                outcome = self.verifier.verify(
-                    dataset.reads[int(index)], dataset.segments[int(index)]
-                )
-                if outcome.accepted:
-                    verified_accepts += 1
-                else:
-                    verified_rejects += 1
+            survivors = surviving.tolist()
+            distances = self.verifier.verify_batch(
+                [dataset.reads[index] for index in survivors],
+                [dataset.segments[index] for index in survivors],
+            )
+            verified_accepts = int(np.count_nonzero(distances <= self.verifier.error_threshold))
+            verified_rejects = len(survivors) - verified_accepts
             wall = time.perf_counter() - start
 
         # Model-scale verification times (per-pair DP cost x pair counts):

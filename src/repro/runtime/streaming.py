@@ -683,14 +683,16 @@ class StreamingPipeline:
 
             if verify:
                 verify_start = time.perf_counter()
-                for index in np.flatnonzero(accepted):
-                    outcome = self.verifier.verify(
-                        reads[int(index)], segments[int(index)]
-                    )
-                    if outcome.accepted:
-                        verified_accepts += 1
-                    else:
-                        verified_rejects += 1
+                survivors = np.flatnonzero(accepted).tolist()
+                distances = self.verifier.verify_batch(
+                    [reads[index] for index in survivors],
+                    [segments[index] for index in survivors],
+                )
+                chunk_verified = int(
+                    np.count_nonzero(distances <= self.verifier.error_threshold)
+                )
+                verified_accepts += chunk_verified
+                verified_rejects += len(survivors) - chunk_verified
                 verification_wall += time.perf_counter() - verify_start
 
             # Stream model: accumulate each device's H2D+kernel work for this

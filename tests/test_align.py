@@ -1,10 +1,17 @@
 """Tests for the alignment substrate: edit distances, NW, SW."""
 
+import random
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import (
     alignment_to_cigar,
     banded_edit_distance,
+    banded_edit_distances,
     dp_edit_distance,
     edit_distance,
     myers_edit_distance,
@@ -12,6 +19,7 @@ from repro.align import (
     smith_waterman,
     within_threshold,
 )
+from repro.align import banded
 from helpers import mutated_pair, random_sequence
 
 
@@ -86,6 +94,120 @@ class TestBandedEditDistance:
     def test_within_threshold(self):
         assert within_threshold("ACGT", "ACGA", 1)
         assert not within_threshold("ACGT", "TGCA", 1)
+
+
+#: Reads mix ACGT with ``N`` and other non-ACGT characters; the DP compares
+#: raw characters, so ``N == N`` is a match in both implementations.
+ALPHABET = "ACGTNNRx-"
+
+
+@st.composite
+def near_pairs(draw):
+    """A read and a segment a few edits (or a different length) away from it."""
+    length = draw(
+        st.one_of(
+            st.sampled_from([0, 1, 63, 64, 65, 150, 300]), st.integers(0, 20)
+        )
+    )
+    read = draw(st.text(st.sampled_from(ALPHABET), min_size=length, max_size=length))
+    if draw(st.integers(0, 9)) == 0:  # an unrelated segment of any length
+        size = draw(st.integers(0, 24))
+        return read, draw(st.text(st.sampled_from(ALPHABET), min_size=size, max_size=size))
+    segment = list(read)
+    for _ in range(draw(st.integers(0, 8))):
+        op = draw(st.sampled_from(["sub", "ins", "del"]))
+        at = draw(st.integers(0, len(segment)))
+        base = draw(st.sampled_from(ALPHABET))
+        if op == "ins":
+            segment.insert(at, base)
+        elif segment and at < len(segment):
+            if op == "sub":
+                segment[at] = base
+            else:
+                del segment[at]
+    return read, "".join(segment)
+
+
+class TestBatchedBandedEditDistance:
+    """``banded_edit_distances`` against the scalar oracle and the full DP."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(near_pairs(), min_size=0, max_size=8),
+        band=st.one_of(st.integers(0, 10), st.sampled_from([64, 310])),
+        block=st.sampled_from([1, 2, 3, banded.BLOCK_PAIRS]),
+        copies=st.integers(1, 3),
+    )
+    def test_matches_scalar_and_full_dp(self, pairs, band, block, copies):
+        # Repeating the batch makes groups span several blocks and
+        # interleaves the length groups, so input order is checked too.
+        pairs = pairs * copies
+        reads = [read for read, _ in pairs]
+        segments = [segment for _, segment in pairs]
+        with mock.patch.object(banded, "BLOCK_PAIRS", block):
+            got = banded_edit_distances(reads, segments, band)
+        assert got.shape == (len(pairs),)
+        assert got.dtype == np.int64
+        scalar = [banded_edit_distance(read, segment, band) for read, segment in pairs]
+        assert got.tolist() == scalar
+        full = [min(dp_edit_distance(read, segment), band + 1) for read, segment in pairs]
+        assert got.tolist() == full
+
+    def test_empty_batch(self):
+        got = banded_edit_distances([], [], 5)
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "read,segment,band,expected",
+        [
+            ("", "", 0, 0),
+            ("", "AC", 2, 2),
+            ("ACGT", "", 2, 3),
+            ("ACGT", "ACGT", 0, 0),
+            ("ACGT", "ACGA", 0, 1),
+            ("NNNN", "NNNN", 0, 0),
+            ("ACGT", "ACGTACGTACGT", 3, 4),
+            ("KITTEN", "SITTING", 3, 3),
+            ("KITTEN", "SITTING", 2, 3),
+            ("A", "T", 40, 1),
+            ("AAAA", "TTTT", 9, 4),
+        ],
+    )
+    def test_batch_of_one(self, read, segment, band, expected):
+        assert banded_edit_distances([read], [segment], band).tolist() == [expected]
+        assert banded_edit_distance(read, segment, band) == expected
+
+    def test_group_larger_than_one_block(self):
+        rng = random.Random(11)
+        n_pairs = banded.BLOCK_PAIRS + 5
+        pairs = [mutated_pair(20, rng.randrange(0, 5), rng) for _ in range(n_pairs)]
+        reads = [read for read, _ in pairs]
+        segments = [segment for _, segment in pairs]
+        expected = [banded_edit_distance(read, segment, 3) for read, segment in pairs]
+        assert banded_edit_distances(reads, segments, 3).tolist() == expected
+
+    def test_input_order_preserved(self):
+        rng = random.Random(5)
+        pairs = [
+            mutated_pair(rng.choice([30, 64, 65]), rng.randrange(0, 7), rng) for _ in range(60)
+        ]
+        reads = [read for read, _ in pairs]
+        segments = [segment for _, segment in pairs]
+        distances = banded_edit_distances(reads, segments, 4)
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        shuffled = banded_edit_distances(
+            [reads[k] for k in order], [segments[k] for k in order], 4
+        )
+        assert shuffled.tolist() == distances[order].tolist()
+
+    def test_negative_band_raises(self):
+        with pytest.raises(ValueError):
+            banded_edit_distances(["A"], ["A"], -1)
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(ValueError, match="pair up"):
+            banded_edit_distances(["A", "C"], ["A"], 1)
 
 
 class TestNeedlemanWunsch:
