@@ -14,8 +14,7 @@ import pytest
 
 from repro.analysis import evaluate_decisions, labels_from_distances
 from repro.analysis.experiments import ground_truth_for_dataset
-from repro.filters import EdgePolicy, estimate_edits_batch
-from repro.genomics import encode_batch_codes
+from repro.filters import EdgePolicy, GateKeeperFilter, GateKeeperGPUFilter
 from _bench_helpers import emit
 
 THRESHOLD = 5
@@ -24,27 +23,29 @@ THRESHOLD = 5
 @pytest.fixture(scope="module")
 def pool(dataset_100bp):
     dataset = dataset_100bp.subset(600)
-    read_codes, read_undef = encode_batch_codes(dataset.reads)
-    ref_codes, ref_undef = encode_batch_codes(dataset.segments)
+    pairs = dataset.encoded()
     distances, _ = ground_truth_for_dataset(dataset)
-    undefined = read_undef | ref_undef
-    truth = labels_from_distances(distances, THRESHOLD, undefined)
-    return read_codes, ref_codes, undefined, truth
+    truth = labels_from_distances(distances, THRESHOLD, pairs.undefined)
+    return pairs, pairs.undefined, truth
 
 
-def _accuracy(read_codes, ref_codes, undefined, truth, **kwargs):
-    estimates = estimate_edits_batch(read_codes, ref_codes, THRESHOLD, **kwargs)
+def _accuracy(pairs, undefined, truth, edge_policy=EdgePolicy.ONE, **kwargs):
+    """Decisions of the GateKeeper word kernel with one knob changed."""
+    cls = GateKeeperGPUFilter if edge_policy == EdgePolicy.ONE else GateKeeperFilter
+    estimates = cls(THRESHOLD, **kwargs).estimate_edits_words(
+        pairs.read_words, pairs.ref_words, pairs.length
+    )
     accepts = undefined | (estimates <= THRESHOLD)
     return evaluate_decisions(accepts, truth)
 
 
 def test_ablation_edge_policy(benchmark, pool):
     """The leading/trailing amendment only removes false accepts, never adds false rejects."""
-    read_codes, ref_codes, undefined, truth = pool
+    pairs, undefined, truth = pool
     improved = benchmark(
-        _accuracy, read_codes, ref_codes, undefined, truth, edge_policy=EdgePolicy.ONE
+        _accuracy, pairs, undefined, truth, edge_policy=EdgePolicy.ONE
     )
-    legacy = _accuracy(read_codes, ref_codes, undefined, truth, edge_policy=EdgePolicy.ZERO)
+    legacy = _accuracy(pairs, undefined, truth, edge_policy=EdgePolicy.ZERO)
     emit(
         "Ablation — edge policy (GateKeeper-GPU improvement)",
         [
@@ -60,9 +61,9 @@ def test_ablation_edge_policy(benchmark, pool):
 @pytest.mark.parametrize("window", [2, 4, 8])
 def test_ablation_count_window(benchmark, pool, window):
     """Narrower counting windows reject more aggressively; 4 bases keeps FR at zero."""
-    read_codes, ref_codes, undefined, truth = pool
+    pairs, undefined, truth = pool
     summary = benchmark(
-        _accuracy, read_codes, ref_codes, undefined, truth, count_window=window
+        _accuracy, pairs, undefined, truth, count_window=window
     )
     emit(f"Ablation — counting window = {window} bases", [summary.as_row()])
     if window >= 4:
@@ -70,18 +71,18 @@ def test_ablation_count_window(benchmark, pool, window):
     if window <= 4:
         # Narrow windows count more edits, so they cannot accept more pairs
         # than the default configuration does.
-        default = _accuracy(read_codes, ref_codes, undefined, truth, count_window=4)
+        default = _accuracy(pairs, undefined, truth, count_window=4)
         assert summary.false_accepts <= default.false_accepts + 1
 
 
 def test_ablation_amendment(benchmark, pool):
     """Disabling the zero-streak amendment hides errors and inflates false accepts."""
-    read_codes, ref_codes, undefined, truth = pool
+    pairs, undefined, truth = pool
     with_amendment = benchmark(
-        _accuracy, read_codes, ref_codes, undefined, truth, max_zero_run=2
+        _accuracy, pairs, undefined, truth, max_zero_run=2
     )
     without_amendment = _accuracy(
-        read_codes, ref_codes, undefined, truth, max_zero_run=1
+        pairs, undefined, truth, max_zero_run=1
     )
     emit(
         "Ablation — zero-streak amendment",

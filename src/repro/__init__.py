@@ -14,7 +14,7 @@ Package map
                     versioned :class:`Result` report schema.
 ``repro.genomics``  DNA alphabet, 2-bit encoding, sequence IO, reference genome.
 ``repro.filters``   GateKeeper, GateKeeper-GPU, SHD, MAGNET, Shouji, SneakySnake
-                    (scalar paths plus the vectorised batch protocol).
+                    (scalar paths plus one packed batch method each).
 ``repro.engine``    Unified filtering API: string-keyed registry
                     (:func:`get_filter` / :func:`available_filters`),
                     :class:`FilterEngine` (any filter, batched + device-split +

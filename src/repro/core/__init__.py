@@ -3,7 +3,7 @@
 from .buffers import BufferPlan, FiltrationBuffers, plan_buffers
 from .config import EncodingActor, SystemConfiguration
 from .filter import GateKeeperGPU
-from .kernel import device_encode, run_gatekeeper_kernel
+from .kernel import device_encode
 # Public compatibility re-export of the package's own defining module, not a
 # new internal call site on the deprecated façade.
 from .pipeline import FilteringPipeline, PipelineReport  # reprolint: disable=deprecated-facade-imports
@@ -18,7 +18,6 @@ __all__ = [
     "SystemConfiguration",
     "GateKeeperGPU",
     "device_encode",
-    "run_gatekeeper_kernel",
     "FilteringPipeline",
     "PipelineReport",
     "PreparedBatch",

@@ -27,15 +27,17 @@ Masks stay in the packed ``uint64`` lane representation
 materialised.  The property tests verify that this pipeline produces
 estimates bit-identical to the per-base reference implementation
 (:mod:`repro.filters.bitvector`).
+
+:func:`gatekeeper_kernel` is registered as the NumPy twin of the native
+``gatekeeper_kernel`` pair; filters reach it through
+:meth:`repro.filters.GateKeeperFilter.estimate_edits_words`, which resolves
+the kernel tier.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..filters.batch import BatchFilterOutput
-from ..filters.masks import EdgePolicy
-from ..filters.native import DEFAULT_KERNEL_TIER, resolve
 from ..filters.packed import count_lane_windows, lane_span_mask
 from ..genomics.encoding import pack_codes_to_words
 
@@ -43,7 +45,6 @@ __all__ = [
     "BLOCK_PAIRS",
     "device_encode",
     "gatekeeper_kernel",
-    "run_gatekeeper_kernel",
 ]
 
 _WORD_BITS = 64
@@ -188,45 +189,3 @@ def gatekeeper_kernel(
         estimates[start:stop] = count_lane_windows(acc.T, length, window=count_window)
 
     return estimates
-
-
-def run_gatekeeper_kernel(
-    read_words: np.ndarray,
-    ref_words: np.ndarray,
-    length: int,
-    error_threshold: int,
-    edge_policy: str = EdgePolicy.ONE,
-    count_window: int = 4,
-    max_zero_run: int = 2,
-    undefined: np.ndarray | None = None,
-    tier: str = DEFAULT_KERNEL_TIER,
-) -> BatchFilterOutput:
-    """Run the GateKeeper-GPU filtration kernel on a batch of encoded pairs.
-
-    This is the word-level path: every mask is produced, amended, edge-forced
-    and ANDed in the packed ``uint64`` lane representation, mirroring the CUDA
-    kernel's arithmetic (shift with carry transfer, XOR, OR-fold, popcount-
-    style window counting).  The decision semantics are identical to
-    :func:`repro.filters.batch.gatekeeper_batch` on either kernel tier.
-    """
-    if read_words.shape != ref_words.shape:
-        raise ValueError("read and reference word arrays must have the same shape")
-    n_pairs = read_words.shape[0]
-    e = int(error_threshold)
-    kernel, _ = resolve("gatekeeper_kernel", tier)
-    estimates = kernel(
-        read_words,
-        ref_words,
-        length,
-        e,
-        edge_policy == EdgePolicy.ONE,
-        count_window,
-        max_zero_run,
-    )
-
-    if undefined is None:
-        undefined = np.zeros(n_pairs, dtype=bool)
-    undefined = np.asarray(undefined, dtype=bool)
-    estimates = np.where(undefined, 0, estimates).astype(np.int32)
-    accepted = undefined | (estimates <= e)
-    return BatchFilterOutput(estimated_edits=estimates, accepted=accepted, undefined=undefined)

@@ -10,11 +10,12 @@ analytic timing model's decomposition.  Any filter resolvable by the
 can be dropped in; :class:`repro.core.GateKeeperGPU` is now a thin configured
 façade over this class.
 
-Filters of the GateKeeper family (``word_kernel_compatible``) run through the
-packed word-array kernel of :mod:`repro.core.kernel`, which mirrors the CUDA
-implementation's arithmetic and keeps the host/device encoding-actor
-distinction meaningful; all other filters run their own
-``estimate_edits_batch`` over the per-base code arrays.
+Every filter runs through its one batch method,
+:meth:`~repro.filters.base.PreAlignmentFilter.estimate_edits_words`, on the
+packed word arrays of each batch (for the GateKeeper family this is the word
+kernel of :mod:`repro.core.kernel`, which mirrors the CUDA implementation's
+arithmetic and keeps the host/device encoding-actor distinction meaningful).
+Undefined pairs are accepted with estimate 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from numpy.typing import NDArray
 
 from ..core.config import EncodingActor, SystemConfiguration
 from ..core.buffers import FiltrationBuffers
-from ..core.kernel import run_gatekeeper_kernel
 from ..core.preprocess import prepare_batches_encoded
 from ..core.results import FilterRunResult
 from ..filters.base import PreAlignmentFilter
@@ -130,11 +130,6 @@ class FilterEngine:
         return self.config.encoding
 
     @property
-    def uses_word_kernel(self) -> bool:
-        """True when the filter runs through the packed word-array kernel."""
-        return bool(getattr(self.filter, "word_kernel_compatible", False))
-
-    @property
     def active_kernel_tier(self) -> str:
         """The tier that actually runs (``"native"`` or ``"numpy"``).
 
@@ -142,13 +137,6 @@ class FilterEngine:
         and Numba to be importable; otherwise the NumPy reference tier runs.
         """
         return active_tier(self.kernel_tier)
-
-    @property
-    def _needs_word_arrays(self) -> bool:
-        """True when filtering will consume the packed word representation."""
-        return self.uses_word_kernel or callable(
-            getattr(self.filter, "estimate_edits_words", None)
-        )
 
     def allocate_buffers(self, batch_pairs: int) -> list[FiltrationBuffers]:
         """Allocate per-device unified-memory buffers for a batch (bookkeeping)."""
@@ -167,44 +155,18 @@ class FilterEngine:
         self, batch: Any
     ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_]]":
         """(estimates, accepted, undefined) of one :class:`PreparedBatch`."""
-        e = self.config.error_threshold
-        if self.uses_word_kernel:
-            # The word arrays are packed lazily by the parent EncodedPairBatch
-            # (at most once per pair, host- or device-billed per the timing
-            # model); the kernel itself is fully bit-parallel.
-            output = run_gatekeeper_kernel(
-                batch.read_words,
-                batch.ref_words,
-                length=self.config.read_length,
-                error_threshold=e,
-                edge_policy=self.filter.edge_policy,
-                count_window=getattr(self.filter, "count_window", 4),
-                max_zero_run=getattr(self.filter, "max_zero_run", 2),
-                undefined=batch.undefined,
-                tier=self.kernel_tier,
-            )
-            return output.estimated_edits, output.accepted, output.undefined
+        # The word arrays are packed lazily by the parent EncodedPairBatch (at
+        # most once per pair, host- or device-billed per the timing model).
+        estimates = np.asarray(
+            self.filter.estimate_edits_words(
+                batch.read_words, batch.ref_words, self.config.read_length, tier=self.kernel_tier
+            ),
+            dtype=np.int32,
+        )
         undefined = np.asarray(batch.undefined, dtype=bool)
-        packed_kernel = getattr(self.filter, "estimate_edits_words", None)
-        if callable(packed_kernel):
-            kwargs: "dict[str, Any]" = {}
-            if getattr(self.filter, "native_kernel", None):
-                # Filters with a registered kernel pair accept the tier knob.
-                kwargs["tier"] = self.kernel_tier
-            estimates = np.asarray(
-                packed_kernel(
-                    batch.read_words, batch.ref_words, self.config.read_length, **kwargs
-                ),
-                dtype=np.int32,
-            )
-        else:
-            estimates = np.asarray(
-                self.filter.estimate_edits_batch(batch.read_codes, batch.ref_codes),
-                dtype=np.int32,
-            )
         # Undefined pairs bypass filtration with a direct pass (paper design).
         estimates = np.where(undefined, 0, estimates).astype(np.int32)
-        accepted = undefined | (estimates <= e)
+        accepted = undefined | (estimates <= self.config.error_threshold)
         return estimates, accepted, undefined
 
     def _check_length(self, pairs: EncodedPairBatch) -> None:
@@ -269,13 +231,12 @@ class FilterEngine:
         if n == 0:
             raise ValueError("cannot filter an empty work list")
         self._check_length(pairs)
-        if self._needs_word_arrays:
-            # Materialise the packed words on the caller's batch so device
-            # shares, later cascade stages and repeated runs over a cached
-            # dataset batch all inherit the cached rows — each pair is packed
-            # exactly once, no matter how often its row is viewed.
-            pairs.read_words
-            pairs.ref_words
+        # Materialise the packed words on the caller's batch so device shares,
+        # later cascade stages and repeated runs over a cached dataset batch
+        # all inherit the cached rows — each pair is packed exactly once, no
+        # matter how often its row is viewed.
+        pairs.read_words
+        pairs.ref_words
 
         wall_start = time.perf_counter()
         if executor is not None:

@@ -272,11 +272,17 @@ def accepts_executor(method: Any) -> bool:
 
 
 def wants_word_arrays(engine: Any) -> bool:
-    """Whether any stage of ``engine`` consumes the packed word arrays."""
+    """Whether any stage of ``engine`` consumes the packed word arrays.
+
+    Every :class:`~repro.engine.FilterEngine` does: each filter's batch
+    method runs on the words.  Custom engines are left to pack their own.
+    """
+    from ..engine.engine import FilterEngine
+
     stages = getattr(engine, "stages", None)
     if stages is not None:
         return any(wants_word_arrays(stage) for stage in stages)
-    return bool(getattr(engine, "_needs_word_arrays", False))
+    return isinstance(engine, FilterEngine)
 
 
 _EXECUTOR_CLASSES: dict[str, type[Executor]] = {

@@ -1,14 +1,13 @@
-"""Pre-alignment filters: GateKeeper-GPU and the published comparators."""
+"""Pre-alignment filters: GateKeeper-GPU and the published comparators.
+
+Every filter has two implementations: the per-base scalar reference
+``estimate_edits_codes`` (the test oracle) and the one batch method
+``estimate_edits_words`` over packed ``uint64`` word arrays, which the engine
+and the mapper run (:mod:`repro.filters.packed` kernels, with the Numba tier
+of :mod:`repro.filters.native` as an optional accelerator).
+"""
 
 from .base import FilterDecision, FilterResult, PreAlignmentFilter
-from .batch import (
-    BatchFilterOutput,
-    amend_masks_batch,
-    estimate_edits_batch,
-    gatekeeper_batch,
-    gatekeeper_batch_from_strings,
-    shifted_mismatch_batch,
-)
 from .bitvector import (
     amend_mask,
     count_one_runs,
@@ -18,10 +17,8 @@ from .bitvector import (
     shifted_mask,
     zero_run_lengths,
 )
-from .cpu import CpuFilterResult, GateKeeperCPU
 from .gatekeeper import GateKeeperFilter
 from .packed import (
-    amend_lanes,
     count_lane_windows,
     count_set_lanes,
     lane_span_mask,
@@ -58,12 +55,6 @@ __all__ = [
     "FilterDecision",
     "FilterResult",
     "PreAlignmentFilter",
-    "BatchFilterOutput",
-    "amend_masks_batch",
-    "estimate_edits_batch",
-    "gatekeeper_batch",
-    "gatekeeper_batch_from_strings",
-    "shifted_mismatch_batch",
     "amend_mask",
     "count_one_runs",
     "count_set_windows",
@@ -71,7 +62,6 @@ __all__ = [
     "longest_zero_run",
     "shifted_mask",
     "zero_run_lengths",
-    "amend_lanes",
     "count_lane_windows",
     "count_set_lanes",
     "lane_span_mask",
@@ -83,8 +73,6 @@ __all__ = [
     "shift_lanes_right",
     "unpack_lanes",
     "zero_run_markers",
-    "CpuFilterResult",
-    "GateKeeperCPU",
     "GateKeeperFilter",
     "GateKeeperGPUFilter",
     "MagnetFilter",

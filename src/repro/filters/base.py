@@ -24,8 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..genomics.alphabet import contains_unknown
-from ..genomics.encoding import encode_to_codes
+from ..genomics.encoding import encode_to_codes, unpack_words_to_codes
 from ..genomics.sequence import SequencePair
+from .native import DEFAULT_KERNEL_TIER
 
 __all__ = ["FilterDecision", "FilterResult", "PreAlignmentFilter"]
 
@@ -61,27 +62,20 @@ class PreAlignmentFilter(ABC):
 
     Subclasses implement :meth:`estimate_edits_codes`, the approximate
     edit-distance computation on a 2-bit-encoded pair that is already known to
-    be defined (no ``N``).  Filters that have a vectorised implementation
-    additionally override :meth:`estimate_edits_batch`; the base class provides
-    a per-pair fallback so every registered filter honours the batch protocol
-    used by :class:`repro.engine.FilterEngine`.
+    be defined (no ``N``).  It is the scalar reference every filter is tested
+    against.
 
-    Filters with a bit-parallel kernel may additionally define
-    ``estimate_edits_words(read_words, ref_words, length)`` operating on the
-    packed ``uint64`` word arrays of an
-    :class:`~repro.genomics.encoding.EncodedPairBatch`; when present, the
-    engine prefers it over :meth:`estimate_edits_batch` (the two must produce
-    identical estimates — property-tested for the built-in filters).
+    :meth:`estimate_edits_words` is the one batch method: it takes the packed
+    ``uint64`` word arrays of an
+    :class:`~repro.genomics.encoding.EncodedPairBatch` and is what
+    :class:`repro.engine.FilterEngine` and the mapper call.  The built-in
+    filters override it with their bit-parallel kernels (property-tested
+    against the scalar path); the base class supplies a per-pair fallback so
+    a custom filter only has to define :meth:`estimate_edits_codes`.
     """
 
     #: Human readable name used by the analysis tables.
     name: str = "filter"
-
-    #: Name of this filter's registered kernel pair in
-    #: :mod:`repro.filters.native`, or ``None`` when the filter has no native
-    #: tier.  When set, ``estimate_edits_words`` accepts a ``tier`` keyword
-    #: and the engine threads its configured ``kernel_tier`` through it.
-    native_kernel: "str | None" = None
 
     def __init__(self, error_threshold: int):
         if error_threshold < 0:
@@ -103,21 +97,22 @@ class PreAlignmentFilter(ABC):
             encode_to_codes(read), encode_to_codes(reference_segment)
         )
 
-    def estimate_edits_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
+    def estimate_edits_words(
+        self,
+        read_words: np.ndarray,
+        ref_words: np.ndarray,
+        length: int,
+        tier: str = DEFAULT_KERNEL_TIER,
     ) -> np.ndarray:
-        """Approximate edit distances of a ``(n_pairs, n_bases)`` code batch.
+        """Approximate edit distances of a batch of packed ``(n_pairs, n_words)`` pairs.
 
-        The base implementation loops over the per-pair scalar path; filters
-        with a vectorised kernel override it.  Both paths must produce
-        identical estimates (property-tested).
+        ``tier`` selects the kernel tier of filters that have a native kernel
+        (:mod:`repro.filters.native`); both tiers return identical estimates.
+        This fallback unpacks the words and loops the scalar
+        :meth:`estimate_edits_codes`, ignoring ``tier``.
         """
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        if read_codes.shape != ref_codes.shape:
-            raise ValueError("read and reference code arrays must have the same shape")
-        if read_codes.ndim != 2:
-            raise ValueError("batch code arrays must be 2-D (n_pairs, n_bases)")
+        read_codes = unpack_words_to_codes(read_words, length)
+        ref_codes = unpack_words_to_codes(ref_words, length)
         return np.array(
             [
                 self.estimate_edits_codes(read_codes[i], ref_codes[i])

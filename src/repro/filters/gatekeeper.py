@@ -7,6 +7,11 @@ streaks, AND across all masks and a windowed look-up-table edit count.  The
 bit positions vacated by the shifts are left 0 (``EdgePolicy.ZERO``), which is
 the accuracy weakness that the GateKeeper-GPU leading/trailing amendment
 fixes.
+
+:meth:`GateKeeperFilter.estimate_edits_codes` is the per-base scalar
+reference; :meth:`GateKeeperFilter.estimate_edits_words`, which GateKeeper-GPU
+and SHD inherit, runs the registered packed ``gatekeeper_kernel`` of
+:mod:`repro.core.kernel` (or its Numba twin) over a whole batch.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .base import PreAlignmentFilter
-from .batch import estimate_edits_batch as _estimate_edits_batch
 from .bitvector import count_set_windows
 from .masks import EdgePolicy, build_mask_set
+from .native import DEFAULT_KERNEL_TIER, resolve
 
 __all__ = ["GateKeeperFilter", "COUNT_WINDOW"]
 
@@ -39,11 +44,6 @@ class GateKeeperFilter(PreAlignmentFilter):
 
     name = "GateKeeper"
     edge_policy = EdgePolicy.ZERO
-    #: The GateKeeper family shares the word-array kernel of
-    #: :mod:`repro.core.kernel`; :class:`repro.engine.FilterEngine` routes such
-    #: filters through the packed-word path (which models the CUDA kernel and
-    #: keeps the host/device encoding-actor distinction meaningful).
-    word_kernel_compatible = True
 
     def __init__(
         self,
@@ -65,15 +65,26 @@ class GateKeeperFilter(PreAlignmentFilter):
         )
         return count_set_windows(mask_set.final(), window=self.count_window)
 
-    def estimate_edits_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
+    def estimate_edits_words(
+        self,
+        read_words: np.ndarray,
+        ref_words: np.ndarray,
+        length: int,
+        tier: str = DEFAULT_KERNEL_TIER,
     ) -> np.ndarray:
-        """Vectorised GateKeeper pipeline over a ``(n_pairs, n_bases)`` batch."""
-        return _estimate_edits_batch(
-            read_codes,
-            ref_codes,
+        """The GateKeeper pipeline over packed word arrays, all pairs at once.
+
+        Shift with carry, XOR, amend, edge-force, AND and windowed count, in
+        the packed ``uint64`` lane representation (the CUDA kernel's
+        arithmetic); ``tier`` selects the NumPy or Numba kernel.
+        """
+        kernel, _ = resolve("gatekeeper_kernel", tier)
+        return kernel(
+            read_words,
+            ref_words,
+            length,
             self.error_threshold,
-            edge_policy=self.edge_policy,
-            count_window=self.count_window,
-            max_zero_run=self.max_zero_run,
+            self.edge_policy == EdgePolicy.ONE,
+            self.count_window,
+            self.max_zero_run,
         )

@@ -8,10 +8,11 @@ Figure 2).  As a result GateKeeper-GPU rejects some over-threshold pairs that
 GateKeeper falsely accepts, producing up to 52x fewer false accepts while
 never rejecting a truly similar pair.
 
-This module contains the scalar (one pair at a time) reference
-implementation.  The batched NumPy kernel that mirrors the CUDA kernel's word
-layout lives in :mod:`repro.core.kernel`; both are checked against each other
-by property tests.
+This module only sets the edge policy.  The scalar (one pair at a time)
+reference and the batch method ``estimate_edits_words`` are inherited from
+:class:`~repro.filters.gatekeeper.GateKeeperFilter`; the latter runs the packed
+kernel of :mod:`repro.core.kernel`, which mirrors the CUDA kernel's word
+layout.  Property tests check the two against each other.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ __all__ = [
     "popcount",
     "shift_words_right_bits",
     "shift_words_left_bits",
-    "amend_lanes",
     "count_lane_windows",
     "neighborhood_lanes",
     "zero_run_markers",
@@ -149,38 +148,6 @@ def _set_lane(out, row, plane, j):  # type: ignore[no-untyped-def]
 
 
 @_jit
-def _amend_rows(masks, valid, max_zero_run, out):  # type: ignore[no-untyped-def]
-    """Flip valid zero runs of length <= ``max_zero_run`` flanked by set bits.
-
-    Replicates :func:`repro.filters.packed.amend_lanes`: run maximality and
-    the flanking test use the raw mask bits (positions outside the array are
-    zero, so runs touching either boundary are never flipped), while only
-    ``valid`` positions count as flippable zeros.
-    """
-    n_rows, n_words = masks.shape
-    n_positions = n_words * 32
-    for r in range(n_rows):
-        for w in range(n_words):
-            out[r, w] = masks[r, w]
-        j = 0
-        while j < n_positions:
-            bit = int((masks[r, j >> 5] >> np.uint64(62 - 2 * (j & 31))) & _ONE)
-            if bit:
-                j += 1
-                continue
-            run_start = j
-            while j < n_positions and not int(
-                (masks[r, j >> 5] >> np.uint64(62 - 2 * (j & 31))) & _ONE
-            ):
-                j += 1
-            # Flanked on both sides (a run at either array boundary is not).
-            if run_start > 0 and j < n_positions and j - run_start <= max_zero_run:
-                for k in range(run_start, j):
-                    if int((valid[k >> 5] >> np.uint64(62 - 2 * (k & 31))) & _ONE):
-                        out[r, k >> 5] |= _ONE << np.uint64(62 - 2 * (k & 31))
-
-
-@_jit
 def _count_windows_rows(masks, length, window, out):  # type: ignore[no-untyped-def]
     """Non-overlapping ``window``-base windows containing a set lane, per row."""
     n_rows = masks.shape[0]
@@ -244,7 +211,7 @@ def _neighborhood_kernel(read_words, ref_words, length, e, out):  # type: ignore
 
 
 @_jit
-def _gatekeeper_batch(
+def _gatekeeper_pairs(
     read_words, ref_words, length, e, edge_one, count_window, max_zero_run, shifts, out
 ):  # type: ignore[no-untyped-def]
     """Per-pair GateKeeper pipeline: shifted masks, amend, edge force, AND, count."""
@@ -514,18 +481,6 @@ def shift_words_left_bits(words: np.ndarray, bits: int) -> np.ndarray:
     return out.reshape(shape)
 
 
-def amend_lanes(
-    masks: np.ndarray, valid: np.ndarray, max_zero_run: int = 2
-) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.amend_lanes`."""
-    if max_zero_run not in (1, 2):
-        raise ValueError("amend_lanes supports max_zero_run of 1 or 2")
-    rows, shape = _as_rows(masks)
-    out = np.empty_like(rows)
-    _amend_rows(rows, np.ascontiguousarray(valid, dtype=_U64), max_zero_run, out)
-    return out.reshape(shape)
-
-
 def count_lane_windows(masks: np.ndarray, length: int, window: int = 4) -> np.ndarray:
     """Native twin of :func:`repro.filters.packed.count_lane_windows`."""
     rows, shape = _as_rows(masks)
@@ -580,7 +535,7 @@ def gatekeeper_kernel(
     if length == 0:
         out[:] = 0
         return out
-    _gatekeeper_batch(
+    _gatekeeper_pairs(
         read_words,
         ref_words,
         int(length),

@@ -23,7 +23,6 @@ from . import _kernels
 register_fallback("popcount", _packed.popcount)
 register_fallback("shift_words_right_bits", _packed.shift_words_right_bits)
 register_fallback("shift_words_left_bits", _packed.shift_words_left_bits)
-register_fallback("amend_lanes", _packed.amend_lanes)
 register_fallback("count_lane_windows", _packed.count_lane_windows)
 register_fallback("neighborhood_lanes", _packed.neighborhood_lanes)
 register_fallback("zero_run_markers", _packed.zero_run_markers)
@@ -35,7 +34,6 @@ for _name in (
     "popcount",
     "shift_words_right_bits",
     "shift_words_left_bits",
-    "amend_lanes",
     "count_lane_windows",
     "neighborhood_lanes",
     "zero_run_markers",

@@ -6,12 +6,13 @@ verify.  This module is the *fast* implementation the engine actually runs:
 masks live in the same 2-bit-lane layout as the encoded sequences — one
 ``uint64`` word holds 32 bases, the per-base mask bit sits in the low bit of
 each base's 2-bit group, and the first base of a sequence occupies the most
-significant group of word 0.  Every hot operation of the filtering stack
-(shifted mismatch masks, streak amendment, edge forcing, the AND across
-masks, windowed edit counting, zero-run boundary detection for MAGNET and the
-neighborhood maps of Shouji/SneakySnake) is a handful of shifts, boolean word
-operations and popcounts on ``(n_pairs, n_words)`` arrays — roughly an order
-of magnitude less memory traffic than the per-base form.
+significant group of word 0.  The hot operations of the filtering stack
+(shifted mismatch masks, windowed edit counting, zero-run boundary detection
+for MAGNET and the neighborhood maps of Shouji/SneakySnake) are a handful of
+shifts, boolean word operations and popcounts on ``(n_pairs, n_words)``
+arrays — roughly an order of magnitude less memory traffic than the per-base
+form.  The GateKeeper kernel of :mod:`repro.core.kernel` amends, edge-forces
+and ANDs its masks in the same layout.
 
 Popcounts use :func:`numpy.bitwise_count` when available (NumPy >= 2.0) and
 fall back to a 256-entry byte lookup table on older NumPy builds.
@@ -40,7 +41,6 @@ __all__ = [
     "lane_span_mask",
     "mismatch_lanes",
     "shifted_mismatch_lanes",
-    "amend_lanes",
     "count_lane_windows",
     "pack_lanes",
     "unpack_lanes",
@@ -189,7 +189,7 @@ def shifted_mismatch_lanes(
     vacant_value: int = 0,
     valid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Packed equivalent of :func:`repro.filters.batch.shifted_mismatch_batch`.
+    """Packed equivalent of :func:`repro.filters.bitvector.shifted_mask`.
 
     Position ``j`` compares ``read[j - shift]`` with ``ref[j]`` (``shift > 0``
     models a deletion mask, ``shift < 0`` an insertion mask); the vacant
@@ -212,29 +212,6 @@ def shifted_mismatch_lanes(
     lanes = mismatch_lanes(shifted, ref_words, valid)
     lanes = (lanes | vacated) if vacant_value else (lanes & ~vacated)
     return lanes, vacated
-
-
-def amend_lanes(
-    masks: np.ndarray, valid: np.ndarray, max_zero_run: int = 2
-) -> np.ndarray:
-    """Packed equivalent of :func:`repro.filters.batch.amend_masks_batch`.
-
-    Flips zero runs of length <= ``max_zero_run`` flanked by ones on both
-    sides; runs touching either sequence boundary are left untouched (the
-    zeros shifted in at the edges provide exactly that semantics).
-    """
-    if max_zero_run not in (1, 2):
-        raise ValueError("amend_lanes supports max_zero_run of 1 or 2")
-    m = np.asarray(masks, dtype=_U64)
-    zeros = (~m) & valid
-    prev1 = shift_lanes_right(m, 1)
-    next1 = shift_lanes_left(m, 1)
-    amended = m | (zeros & prev1 & next1)
-    if max_zero_run >= 2:
-        next2 = shift_lanes_left(m, 2)
-        double = zeros & ((~next1) & valid) & prev1 & next2
-        amended |= double | shift_lanes_right(double, 1)
-    return amended
 
 
 @lru_cache(maxsize=None)

@@ -11,14 +11,15 @@ never causes a false reject.
 
 The optimal routing can be computed greedily: from the current column, find
 the diagonal with the longest run of obstacle-free cells, travel along it and
-pay one unit to cross the next column.  The vectorised batch path precomputes
-the distance to the next obstacle at every column (one ``minimum.accumulate``
-segment scan over pairs and diagonals — no per-column Python loop) and
-advances all pairs' greedy walks in lockstep; it reproduces the scalar
-estimates exactly, including the early exit once a pair's estimate exceeds
-the threshold.  When the pairs arrive pre-encoded as packed words
-(:meth:`SneakySnakeFilter.estimate_edits_words`), the chip maze itself is
-built bit-parallel from the word arrays (:func:`repro.filters.packed.neighborhood_lanes`).
+pay one unit to cross the next column.  Both paths precompute the distance
+to the next obstacle at every column (one ``minimum.accumulate`` segment scan
+over diagonals — no per-column Python loop) and then walk greedily, stopping
+once the estimate exceeds the threshold.  The scalar path
+(:meth:`SneakySnakeFilter.estimate_edits_codes`) does this for one pair's
+neighborhood map.  The batch path (:meth:`SneakySnakeFilter.estimate_edits_words`)
+builds the chip maze bit-parallel from the packed word arrays
+(:func:`repro.filters.packed.neighborhood_lanes`) and advances all pairs'
+walks in lockstep.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .base import PreAlignmentFilter
 from .native import DEFAULT_KERNEL_TIER, resolve
 from .packed import neighborhood_lanes, unpack_lanes
-from .shouji import neighborhood_map_batch
+from .shouji import neighborhood_map
 
 __all__ = ["SneakySnakeFilter", "sneakysnake_kernel"]
 
@@ -70,30 +71,15 @@ class SneakySnakeFilter(PreAlignmentFilter):
     """SneakySnake: greedy single-net-routing filter."""
 
     name = "SneakySnake"
-    native_kernel = "sneakysnake_kernel"
 
     def __init__(self, error_threshold: int):
         super().__init__(error_threshold)
 
     def estimate_edits_codes(self, read_codes: np.ndarray, ref_codes: np.ndarray) -> int:
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        return int(
-            self.estimate_edits_batch(read_codes[np.newaxis, :], ref_codes[np.newaxis, :])[0]
-        )
-
-    def estimate_edits_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
-    ) -> np.ndarray:
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        if read_codes.shape != ref_codes.shape:
-            raise ValueError("read and reference code arrays must have the same shape")
-        n_pairs, n = read_codes.shape
-        if n == 0:
-            return np.zeros(n_pairs, dtype=np.int32)
-        nmap = neighborhood_map_batch(read_codes, ref_codes, self.error_threshold)
-        return self._route(_longest_free_runs(nmap), n)
+        nmap = neighborhood_map(read_codes, ref_codes, self.error_threshold)
+        if nmap.shape[1] == 0:
+            return 0
+        return int(self._route(_longest_free_runs(nmap[np.newaxis]), nmap.shape[1])[0])
 
     def estimate_edits_words(
         self,
@@ -104,10 +90,8 @@ class SneakySnakeFilter(PreAlignmentFilter):
     ) -> np.ndarray:
         """Packed-word path: the chip maze is built from the encoded words.
 
-        Used by :class:`repro.engine.FilterEngine` when the pairs arrive as an
-        :class:`~repro.genomics.encoding.EncodedPairBatch` — the neighborhood
-        map rows are shifted-XOR lane masks of the 2-bit word arrays, so no
-        per-base comparison is ever performed.  ``tier`` selects the kernel
+        The neighborhood map rows are shifted-XOR lane masks of the 2-bit word
+        arrays, so no per-base comparison is ever performed.  ``tier`` selects the kernel
         tier; both tiers return bit-identical estimates.
         """
         n_pairs = read_words.shape[0]

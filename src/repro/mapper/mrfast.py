@@ -146,19 +146,12 @@ class MrFastMapper:
         # Seeded candidate pairs are encoded exactly once per batch; engines
         # and bare filters alike consume the encoded batch directly.
         pairs = EncodedPairBatch.from_lists(reads, segments)
-        if hasattr(prefilter, "filter_encoded"):
+        if not isinstance(prefilter, PreAlignmentFilter):
             result = prefilter.filter_encoded(pairs)
             return result.accepted, result.kernel_time_s, result.filter_time_s, result.n_undefined
-        if hasattr(prefilter, "filter_lists"):
-            result = prefilter.filter_lists(reads, segments)
-            return result.accepted, result.kernel_time_s, result.filter_time_s, result.n_undefined
-        # Bare PreAlignmentFilter instance: run its vectorised batch protocol
-        # (identical decisions to filter_pair, an order of magnitude faster).
-        packed_kernel = getattr(prefilter, "estimate_edits_words", None)
-        if callable(packed_kernel):
-            estimates = packed_kernel(pairs.read_words, pairs.ref_words, pairs.length)
-        else:
-            estimates = prefilter.estimate_edits_batch(pairs.read_codes, pairs.ref_codes)
+        # Bare PreAlignmentFilter instance: run its batch method (identical
+        # decisions to filter_pair, an order of magnitude faster).
+        estimates = prefilter.estimate_edits_words(pairs.read_words, pairs.ref_words, pairs.length)
         undefined = pairs.undefined
         estimates = np.where(undefined, 0, np.asarray(estimates, dtype=np.int32))
         accepted = undefined | (estimates <= prefilter.error_threshold)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import device_encode, run_gatekeeper_kernel
+from repro.core import device_encode
 from repro.core.kernel import BLOCK_PAIRS, _mask_plan, _shift_rows, gatekeeper_kernel
-from repro.filters import EdgePolicy, gatekeeper_batch
+from repro.engine import FilterEngine
+from repro.filters import EdgePolicy, GateKeeperFilter, GateKeeperGPUFilter
 from repro.filters.bitvector import count_set_windows, shifted_mask
 from repro.filters.masks import build_mask_set
 from repro.filters.packed import mismatch_lanes, unpack_lanes
@@ -106,62 +107,40 @@ class TestXorFold:
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("edge_policy", [EdgePolicy.ONE, EdgePolicy.ZERO])
-    def test_kernel_matches_code_batch(self, rng, edge_policy):
+    @pytest.mark.parametrize("filter_cls", [GateKeeperGPUFilter, GateKeeperFilter])
+    def test_kernel_matches_scalar_filter(self, rng, filter_cls):
         pairs = [mutated_pair(100, rng.randrange(0, 20), rng) for _ in range(30)]
         reads = [p[0] for p in pairs]
         refs = [p[1] for p in pairs]
-        read_codes, read_undef = encode_batch_codes(reads)
-        ref_codes, ref_undef = encode_batch_codes(refs)
-        undefined = read_undef | ref_undef
-        threshold = 6
-        kernel_out = run_gatekeeper_kernel(
-            device_encode(read_codes),
-            device_encode(ref_codes),
-            length=100,
-            error_threshold=threshold,
-            edge_policy=edge_policy,
-            undefined=undefined,
+        read_codes, _ = encode_batch_codes(reads)
+        ref_codes, _ = encode_batch_codes(refs)
+        flt = filter_cls(6)
+        estimates = flt.estimate_edits_words(
+            device_encode(read_codes), device_encode(ref_codes), 100
         )
-        batch_out = gatekeeper_batch(
-            read_codes, ref_codes, threshold, undefined=undefined, edge_policy=edge_policy
-        )
-        assert np.array_equal(kernel_out.estimated_edits, batch_out.estimated_edits)
-        assert np.array_equal(kernel_out.accepted, batch_out.accepted)
+        for i in range(len(pairs)):
+            expected = flt.filter_pair(reads[i], refs[i])
+            assert int(estimates[i]) == expected.estimated_edits
+            assert bool(estimates[i] <= 6) == expected.accepted
 
     def test_kernel_undefined_pairs_pass(self, rng):
         reads = ["ACGTN" + random_sequence(95, rng)]
         refs = [random_sequence(100, rng)]
-        read_codes, read_undef = encode_batch_codes(reads)
-        ref_codes, ref_undef = encode_batch_codes(refs)
-        out = run_gatekeeper_kernel(
-            device_encode(read_codes),
-            device_encode(ref_codes),
-            length=100,
-            error_threshold=0,
-            undefined=read_undef | ref_undef,
+        out = FilterEngine("gatekeeper-gpu", read_length=100, error_threshold=0).filter_lists(
+            reads, refs
         )
         assert out.accepted[0]
         assert out.estimated_edits[0] == 0
-
-    def test_kernel_shape_mismatch_raises(self, rng):
-        read_codes = _codes(rng, 2, 64)
-        ref_codes = _codes(rng, 3, 64)
-        with pytest.raises(ValueError):
-            run_gatekeeper_kernel(
-                device_encode(read_codes), device_encode(ref_codes), 64, 2
-            )
 
     def test_kernel_250bp_threshold_25(self, rng):
         # The largest configuration in the paper: 250 bp at 10% threshold.
         pairs = [mutated_pair(250, rng.randrange(0, 40), rng) for _ in range(8)]
         read_codes, _ = encode_batch_codes([p[0] for p in pairs])
         ref_codes, _ = encode_batch_codes([p[1] for p in pairs])
-        out = run_gatekeeper_kernel(
-            device_encode(read_codes), device_encode(ref_codes), 250, 25
-        )
-        batch = gatekeeper_batch(read_codes, ref_codes, 25)
-        assert np.array_equal(out.estimated_edits, batch.estimated_edits)
+        flt = GateKeeperGPUFilter(25)
+        out = flt.estimate_edits_words(device_encode(read_codes), device_encode(ref_codes), 250)
+        for i, (read, ref) in enumerate(pairs):
+            assert int(out[i]) == flt.estimate_edits(read, ref)
 
 
 @st.composite
@@ -206,9 +185,9 @@ def _as_view(words, kind):
 class TestBlockedKernelDifferential:
     """The row-blocked NumPy kernel against the per-base mask pipeline.
 
-    ``gatekeeper_batch`` itself runs through the kernel, so the reference is
-    the per-base pipeline it stands for: ``build_mask_set`` (shifted masks,
-    amendment, edge forcing), the AND of all masks and ``count_set_windows``.
+    The reference is the scalar GateKeeper pipeline: ``build_mask_set``
+    (shifted masks, amendment, edge forcing), the AND of all masks and
+    ``count_set_windows``.
     Each drawn batch tiles a few distinct pairs over row counts around the
     block size, so distinct pairs straddle every block boundary.
     """

@@ -16,7 +16,9 @@ from repro.engine import (
     register_filter,
     resolve_filter,
 )
+from repro.exec.executor import wants_word_arrays
 from repro.filters import (
+    FilterDecision,
     GateKeeperFilter,
     GateKeeperGPUFilter,
     MagnetFilter,
@@ -25,8 +27,9 @@ from repro.filters import (
     ShoujiFilter,
     SneakySnakeFilter,
 )
-from repro.genomics.encoding import encode_batch_codes
+from repro.genomics.encoding import EncodedPairBatch
 from repro.gpusim import SETUP_1
+from repro.runtime import StreamingPipeline
 from repro.simulate import build_dataset
 from helpers import mutated_pair, random_sequence
 
@@ -106,17 +109,25 @@ class TestRegistry:
             register_filter("not-a-filter", dict)
 
 
+class CountMismatches(PreAlignmentFilter):
+    """A custom filter that defines only the scalar estimate_edits_codes."""
+
+    name = "CountMismatches"
+
+    def estimate_edits_codes(self, read_codes, ref_codes):
+        return int((read_codes != ref_codes).sum())
+
+
 class TestBatchProtocol:
-    """Vectorized estimate_edits_batch agrees with the per-pair path."""
+    """The batch method estimate_edits_words agrees with the per-pair path."""
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     @pytest.mark.parametrize("threshold", [0, 2, 5])
     def test_batch_matches_scalar(self, key, threshold):
         reads, segments = mixed_pairs(60, 100, seed=threshold * 101 + 7)
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(segments)
+        pairs = EncodedPairBatch.from_lists(reads, segments)
         flt = get_filter(key, threshold)
-        batch = flt.estimate_edits_batch(read_codes, ref_codes)
+        batch = flt.estimate_edits_words(pairs.read_words, pairs.ref_words, pairs.length)
         assert batch.shape == (60,)
         for i in range(60):
             assert int(batch[i]) == flt.estimate_edits(reads[i], segments[i])
@@ -124,36 +135,76 @@ class TestBatchProtocol:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_batch_matches_scalar_odd_length(self, key):
         reads, segments = mixed_pairs(20, 73, seed=5)
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(segments)
+        pairs = EncodedPairBatch.from_lists(reads, segments)
         flt = get_filter(key, 4)
-        batch = flt.estimate_edits_batch(read_codes, ref_codes)
+        batch = flt.estimate_edits_words(pairs.read_words, pairs.ref_words, pairs.length)
         for i in range(20):
             assert int(batch[i]) == flt.estimate_edits(reads[i], segments[i])
 
     def test_base_fallback_loop(self):
-        """A filter without a vectorised kernel still honours the protocol."""
-
-        class CountMismatches(PreAlignmentFilter):
-            name = "CountMismatches"
-
-            def estimate_edits_codes(self, read_codes, ref_codes):
-                return int((read_codes != ref_codes).sum())
-
+        """A filter without a packed kernel still honours the protocol."""
         reads, segments = mixed_pairs(10, 50, seed=3)
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(segments)
+        pairs = EncodedPairBatch.from_lists(reads, segments)
         flt = CountMismatches(5)
-        batch = flt.estimate_edits_batch(read_codes, ref_codes)
+        batch = flt.estimate_edits_words(pairs.read_words, pairs.ref_words, pairs.length)
+        assert batch.dtype == np.int32
         for i in range(10):
             assert int(batch[i]) == flt.estimate_edits(reads[i], segments[i])
 
-    def test_batch_shape_validation(self):
+    def test_scalar_shape_validation(self):
         flt = get_filter("shouji", 2)
         with pytest.raises(ValueError):
-            flt.estimate_edits_batch(
-                np.zeros((2, 10), dtype=np.uint8), np.zeros((2, 8), dtype=np.uint8)
+            flt.estimate_edits_codes(
+                np.zeros(10, dtype=np.uint8), np.zeros(8, dtype=np.uint8)
             )
+
+
+class TestCustomFilterFallback:
+    """The base-class batch fallback through the engine and the streaming runtime."""
+
+    @staticmethod
+    def pool():
+        reads, segments = mixed_pairs(45, 73, seed=11)
+        rng = random.Random(12)
+        for i in (0, 9, 30):
+            j = rng.randrange(73)
+            reads[i] = reads[i][:j] + "N" + reads[i][j + 1 :]
+        segments[20] = "N" * 73
+        return reads, segments
+
+    def expected(self, reads, segments):
+        flt = CountMismatches(5)
+        return [flt.filter_pair(r, s) for r, s in zip(reads, segments)]
+
+    def test_engine_matches_filter_pair(self):
+        reads, segments = self.pool()
+        engine = FilterEngine(
+            CountMismatches(5), read_length=73, error_threshold=5, n_devices=2,
+            max_reads_per_batch=7,
+        )
+        result = engine.filter_lists(reads, segments)
+        expected = self.expected(reads, segments)
+        assert result.n_batches == 8  # 23 + 22 pairs in batches of at most 7
+        assert result.undefined.tolist() == [
+            r.decision is FilterDecision.UNDEFINED for r in expected
+        ]
+        assert result.accepted.tolist() == [r.accepted for r in expected]
+        assert result.estimated_edits.tolist() == [r.estimated_edits for r in expected]
+        assert 0 < result.n_accepted < len(reads)
+
+    def test_streaming_matches_filter_pair(self):
+        reads, segments = self.pool()
+        pipeline = StreamingPipeline(
+            CountMismatches(5), chunk_size=16, error_threshold=5, collect_decisions=True
+        )
+        report = pipeline.run_pairs(zip(reads, segments), verify=False)
+        expected = self.expected(reads, segments)
+        assert report.n_chunks == 3
+        assert report.undefined.tolist() == [
+            r.decision is FilterDecision.UNDEFINED for r in expected
+        ]
+        assert report.accepted.tolist() == [r.accepted for r in expected]
+        assert report.estimated_edits.tolist() == [r.estimated_edits for r in expected]
 
 
 class TestFilterEngine:
@@ -187,10 +238,13 @@ class TestFilterEngine:
         with pytest.raises(ValueError, match="read_length=100"):
             engine.filter_lists(["ACGT" * 30], ["ACGT" * 30])
 
-    def test_word_kernel_routing(self):
-        assert FilterEngine("gatekeeper-gpu", 100, 5).uses_word_kernel
-        assert FilterEngine("shd", 100, 5).uses_word_kernel
-        assert not FilterEngine("shouji", 100, 5).uses_word_kernel
+    def test_every_engine_and_cascade_wants_word_arrays(self):
+        for key in ALL_KEYS:
+            assert wants_word_arrays(FilterEngine(key, 100, 5))
+        assert wants_word_arrays(FilterEngine(CountMismatches(5), 100, 5))
+        assert wants_word_arrays(
+            FilterCascade.from_names(["shouji", "magnet"], read_length=100, error_threshold=5)
+        )
 
     def test_device_split_and_batching_stable(self, dataset_1k):
         single = FilterEngine("shouji", 100, 5)

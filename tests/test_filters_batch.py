@@ -1,49 +1,29 @@
-"""Tests for the vectorised batch filter against the scalar reference."""
+"""Tests for the GateKeeper-family batch method against the scalar reference."""
 
 import numpy as np
 import pytest
 
-from repro.filters import (
-    EdgePolicy,
-    GateKeeperFilter,
-    GateKeeperGPUFilter,
-    amend_masks_batch,
-    estimate_edits_batch,
-    gatekeeper_batch,
-    gatekeeper_batch_from_strings,
-    shifted_mismatch_batch,
-)
-from repro.filters.bitvector import amend_mask, shifted_mask
-from repro.genomics import encode_batch_codes
+from repro.engine import FilterEngine
+from repro.filters import EdgePolicy, GateKeeperFilter, GateKeeperGPUFilter
+from repro.genomics import EncodedPairBatch
 from helpers import mutated_pair, random_sequence
 
 
+def word_estimates(flt, reads, refs):
+    pairs = EncodedPairBatch.from_lists(reads, refs)
+    return flt.estimate_edits_words(pairs.read_words, pairs.ref_words, pairs.length)
+
+
 class TestBatchPrimitives:
-    def test_shifted_mismatch_batch_matches_scalar(self, rng):
-        reads = [random_sequence(50, rng) for _ in range(10)]
-        refs = [random_sequence(50, rng) for _ in range(10)]
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(refs)
-        for shift in (-3, -1, 0, 1, 4):
-            batch = shifted_mismatch_batch(read_codes, ref_codes, shift)
-            for i in range(10):
-                scalar = shifted_mask(read_codes[i], ref_codes[i], shift)
-                assert np.array_equal(batch[i], scalar)
-
-    def test_amend_masks_batch_matches_scalar(self, rng):
-        masks = (np.random.default_rng(3).random((6, 12, 40)) < 0.5).astype(np.uint8)
-        batched = amend_masks_batch(masks)
-        for i in range(6):
-            for j in range(12):
-                assert np.array_equal(batched[i, j], amend_mask(masks[i, j]))
-
-    def test_amend_masks_batch_rejects_unsupported_run(self):
+    def test_word_kernel_rejects_unsupported_run(self):
         with pytest.raises(ValueError):
-            amend_masks_batch(np.zeros((1, 4), dtype=np.uint8), max_zero_run=3)
+            word_estimates(GateKeeperFilter(1, max_zero_run=3), ["ACGT"], ["ACGT"])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            estimate_edits_batch(np.zeros((2, 10), dtype=np.uint8), np.zeros((2, 8), dtype=np.uint8), 2)
+            GateKeeperGPUFilter(2).estimate_edits_codes(
+                np.zeros(10, dtype=np.uint8), np.zeros(8, dtype=np.uint8)
+            )
 
 
 class TestBatchVsScalar:
@@ -56,64 +36,49 @@ class TestBatchVsScalar:
         pairs = [mutated_pair(60, rng.randrange(0, 15), rng) for _ in range(25)]
         reads = [p[0] for p in pairs]
         refs = [p[1] for p in pairs]
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(refs)
-        estimates = estimate_edits_batch(read_codes, ref_codes, threshold, edge_policy=edge_policy)
         scalar = filter_cls(threshold)
+        assert scalar.edge_policy == edge_policy
+        estimates = word_estimates(scalar, reads, refs)
         for i in range(len(pairs)):
             assert int(estimates[i]) == scalar.estimate_edits(reads[i], refs[i])
 
-    def test_batch_from_strings_handles_undefined(self):
+    def test_engine_handles_undefined(self):
         reads = ["ACGTACGTACGTACGT", "ACGNACGTACGTACGT", "TTTTTTTTTTTTTTTT"]
         refs = ["ACGTACGTACGTACGT", "ACGTACGTACGTACGT", "ACGTACGTACGTACGT"]
-        out = gatekeeper_batch_from_strings(reads, refs, 1)
+        out = FilterEngine("gatekeeper-gpu", 16, 1).filter_lists(reads, refs)
         assert out.undefined.tolist() == [False, True, False]
         assert out.accepted[0]  # exact match
         assert out.accepted[1]  # undefined passes
         assert not out.accepted[2]  # dissimilar rejected
         assert out.estimated_edits[1] == 0
 
-    def test_batch_output_counters(self, rng):
+    def test_engine_output_counters(self, rng):
         reads = [random_sequence(40, rng) for _ in range(8)]
         refs = list(reads[:4]) + [random_sequence(40, rng) for _ in range(4)]
-        out = gatekeeper_batch_from_strings(reads, refs, 2)
+        out = FilterEngine("gatekeeper-gpu", 40, 2).filter_lists(reads, refs)
         assert out.n_pairs == 8
         assert out.n_accepted + out.n_rejected == 8
         assert out.n_accepted >= 4  # the exact matches all pass
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            gatekeeper_batch_from_strings(["ACGT"], ["ACGT", "ACGT"], 1)
-
-    def test_undefined_mask_override(self, rng):
-        reads = [random_sequence(30, rng) for _ in range(4)]
-        refs = [random_sequence(30, rng) for _ in range(4)]
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(refs)
-        undefined = np.array([True, False, False, True])
-        out = gatekeeper_batch(read_codes, ref_codes, 1, undefined=undefined)
-        assert out.accepted[0] and out.accepted[3]
-        assert out.estimated_edits[0] == 0 and out.estimated_edits[3] == 0
+            FilterEngine("gatekeeper-gpu", 4, 1).filter_lists(["ACGT"], ["ACGT", "ACGT"])
 
 
 class TestBatchMonotonicity:
     def test_zero_edge_policy_estimates_not_above_one_policy(self, rng):
         reads = [random_sequence(80, rng) for _ in range(12)]
         refs = [random_sequence(80, rng) for _ in range(12)]
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(refs)
-        zero = estimate_edits_batch(read_codes, ref_codes, 5, edge_policy=EdgePolicy.ZERO)
-        one = estimate_edits_batch(read_codes, ref_codes, 5, edge_policy=EdgePolicy.ONE)
+        zero = word_estimates(GateKeeperFilter(5), reads, refs)
+        one = word_estimates(GateKeeperGPUFilter(5), reads, refs)
         assert np.all(one >= zero)
 
     def test_estimates_non_increasing_in_threshold(self, rng):
         reads = [random_sequence(80, rng) for _ in range(10)]
         refs = [random_sequence(80, rng) for _ in range(10)]
-        read_codes, _ = encode_batch_codes(reads)
-        ref_codes, _ = encode_batch_codes(refs)
         previous = None
         for threshold in range(0, 8):
-            estimates = estimate_edits_batch(read_codes, ref_codes, threshold)
+            estimates = word_estimates(GateKeeperGPUFilter(threshold), reads, refs)
             if previous is not None:
                 assert np.all(estimates <= previous)
             previous = estimates

@@ -4,8 +4,8 @@ Hypothesis drives random sequences, lengths and thresholds through the packed
 ``uint64`` lane kernels (:mod:`repro.filters.packed`, the GateKeeper word
 kernel) and asserts bit-for-bit agreement with the per-base reference
 implementations in :mod:`repro.filters.bitvector` / :mod:`repro.filters.masks`,
-and through every registered filter's ``estimate_edits_batch`` against its
-per-pair scalar path.  Runs are derandomised (fixed example corpus) so the
+and through every registered filter's batch method ``estimate_edits_words``
+against its per-pair scalar path.  Runs are derandomised (fixed example corpus) so the
 tier-1 suite stays deterministic and fast.
 """
 
@@ -17,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.kernel import run_gatekeeper_kernel
 from repro.engine import available_filters, get_filter
-from repro.filters import packed
+from repro.filters import GateKeeperFilter, GateKeeperGPUFilter, packed
 from repro.filters.native import _kernels as native_kernels
 from repro.filters.native import resolve
-from repro.filters.bitvector import amend_mask, count_set_windows
+from repro.filters.bitvector import count_set_windows
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
 from repro.genomics.encoding import pack_codes_to_words
@@ -63,18 +62,6 @@ def bit_masks(draw):
 
 class TestPackedPrimitiveProperties:
     @settings(max_examples=25, **COMMON)
-    @given(mask=bit_masks(), max_zero_run=st.integers(min_value=1, max_value=2))
-    def test_amend_lanes_matches_reference(self, mask, max_zero_run):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
-        got = packed.unpack_lanes(
-            packed.amend_lanes(lanes, valid, max_zero_run=max_zero_run), length
-        )
-        expect = np.stack([amend_mask(m, max_zero_run=max_zero_run) for m in mask])
-        assert np.array_equal(got, expect)
-
-    @settings(max_examples=25, **COMMON)
     @given(mask=bit_masks(), window=st.integers(min_value=1, max_value=8))
     def test_count_lane_windows_matches_reference(self, mask, window):
         length = mask.shape[1]
@@ -107,9 +94,9 @@ class TestGateKeeperKernelProperties:
     def test_kernel_matches_scalar_mask_pipeline(self, batch, threshold, edge_policy):
         read, ref = batch
         length = read.shape[1]
-        output = run_gatekeeper_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-            length=length, error_threshold=threshold, edge_policy=edge_policy,
+        cls = GateKeeperGPUFilter if edge_policy == EdgePolicy.ONE else GateKeeperFilter
+        estimates = cls(threshold).estimate_edits_words(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
         )
         expect = np.array(
             [
@@ -123,7 +110,7 @@ class TestGateKeeperKernelProperties:
             ],
             dtype=np.int32,
         )
-        assert np.array_equal(output.estimated_edits, expect)
+        assert np.array_equal(estimates, expect)
 
 
 def _twin(name):
@@ -164,16 +151,6 @@ class TestNativeKernelDifferentials:
         words = packed.pack_lanes(mask)
         got = native_kernels.shift_words_left_bits(words, bits)
         assert np.array_equal(got, _twin("shift_words_left_bits")(words, bits))
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks(), max_zero_run=st.integers(min_value=1, max_value=2))
-    def test_amend_lanes(self, mask, max_zero_run):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
-        got = native_kernels.amend_lanes(lanes, valid, max_zero_run=max_zero_run)
-        expect = _twin("amend_lanes")(lanes, valid, max_zero_run=max_zero_run)
-        assert np.array_equal(got, expect)
 
     @settings(max_examples=15, **COMMON)
     @given(mask=bit_masks(), window=st.integers(min_value=1, max_value=8))
@@ -260,8 +237,11 @@ class TestFilterEstimateProperties:
     @given(batch=pair_batches(), threshold=st.integers(min_value=0, max_value=6))
     def test_batch_estimates_match_scalar(self, key, batch, threshold):
         read, ref = batch
+        length = read.shape[1]
         instance = get_filter(key, threshold)
-        batch_edits = instance.estimate_edits_batch(read, ref)
+        batch_edits = instance.estimate_edits_words(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+        )
         scalar = np.array(
             [
                 instance.estimate_edits_codes(read[i], ref[i])
@@ -274,14 +254,15 @@ class TestFilterEstimateProperties:
     @pytest.mark.parametrize("key", available_filters())
     @settings(max_examples=15, **COMMON)
     @given(batch=pair_batches(), threshold=st.integers(min_value=0, max_value=6))
-    def test_packed_word_path_matches_batch(self, key, batch, threshold):
+    def test_every_tier_matches_scalar(self, key, batch, threshold):
         instance = get_filter(key, threshold)
-        packed_kernel = getattr(instance, "estimate_edits_words", None)
-        if not callable(packed_kernel):
-            pytest.skip(f"{key} runs through the engine's word kernel instead")
         read, ref = batch
         length = read.shape[1]
-        got = packed_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
-        )
-        assert np.array_equal(got, instance.estimate_edits_batch(read, ref))
+        scalar = [
+            instance.estimate_edits_codes(read[i], ref[i]) for i in range(read.shape[0])
+        ]
+        for tier in ("numpy", "native"):
+            got = instance.estimate_edits_words(
+                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length, tier=tier
+            )
+            assert got.tolist() == scalar, tier

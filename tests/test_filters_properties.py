@@ -4,15 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.align import dp_edit_distance, edit_distance
-from repro.filters import (
-    EdgePolicy,
-    GateKeeperGPUFilter,
-    SneakySnakeFilter,
-    estimate_edits_batch,
-)
+from repro.filters import GateKeeperGPUFilter, SneakySnakeFilter
 from repro.filters.bitvector import amend_mask
 from repro.genomics import (
-    encode_batch_codes,
+    EncodedPairBatch,
     encode_to_codes,
     pack_codes_to_words,
     unpack_words_to_codes,
@@ -91,15 +86,14 @@ def test_amendment_only_adds_ones(bits):
     st.integers(min_value=1, max_value=12),
 )
 def test_batch_estimate_matches_scalar(length, threshold, seed):
-    """The vectorised batch estimate equals the scalar filter on random pairs."""
+    """The packed batch estimate equals the scalar filter on random pairs."""
     rng = np.random.default_rng(seed)
     lut = np.frombuffer(b"ACGT", dtype=np.uint8)
     reads = ["".join(chr(c) for c in lut[rng.integers(0, 4, length)]) for _ in range(4)]
     refs = ["".join(chr(c) for c in lut[rng.integers(0, 4, length)]) for _ in range(4)]
-    read_codes, _ = encode_batch_codes(reads)
-    ref_codes, _ = encode_batch_codes(refs)
-    estimates = estimate_edits_batch(read_codes, ref_codes, threshold, edge_policy=EdgePolicy.ONE)
+    pairs = EncodedPairBatch.from_lists(reads, refs)
     scalar = GateKeeperGPUFilter(threshold)
+    estimates = scalar.estimate_edits_words(pairs.read_words, pairs.ref_words, length)
     for i in range(4):
         assert int(estimates[i]) == scalar.estimate_edits(reads[i], refs[i])
 

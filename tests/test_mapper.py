@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GateKeeperGPU
+from repro.engine import available_filters, get_filter
 from repro.filters import SneakySnakeFilter
 from repro.genomics import ReferenceGenome, Read
 from repro.mapper import KmerIndex, MappingStats, MrFastMapper, SamRecord, Seeder, write_sam
@@ -123,6 +124,27 @@ class TestMrFastMapper:
         result = mapper.map_reads(reads[:20])
         assert result.filter_name == "SneakySnake"
         assert result.stats.verification_pairs <= result.stats.candidate_pairs
+
+    @pytest.mark.parametrize("key", available_filters())
+    def test_bare_filter_matches_named_filter(self, reference, reads, key):
+        """A bare filter instance runs its batch method; decisions match the engine's."""
+        # Two reads carry an N so that undefined candidate pairs occur.
+        with_n = list(reads)
+        for i in (3, 40):
+            bases = with_n[i].bases
+            with_n[i] = Read(name=with_n[i].name, bases=bases[:50] + "N" + bases[51:])
+        by_name = MrFastMapper(
+            reference, error_threshold=5, k=10, prefilter=key, max_reads_per_batch=25
+        ).map_reads(with_n)
+        bare = MrFastMapper(
+            reference, error_threshold=5, k=10, prefilter=get_filter(key, 5),
+            max_reads_per_batch=25,
+        ).map_reads(with_n)
+        assert bare.records == by_name.records
+        assert bare.stats == by_name.stats
+        assert bare.filter_name == by_name.filter_name
+        assert bare.stats.rejected_pairs > 0
+        assert bare.stats.undefined_pairs > 0
 
     def test_batching_does_not_change_results(self, reference, reads):
         big = MrFastMapper(reference, error_threshold=5, k=10).map_reads(reads[:30])

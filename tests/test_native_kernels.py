@@ -17,8 +17,7 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.api.workload import ExecutionSpec
-from repro.core.kernel import run_gatekeeper_kernel
-from repro.engine import FilterCascade, FilterEngine
+from repro.engine import FilterCascade, FilterEngine, available_filters, get_filter
 from repro.filters import native
 from repro.filters.native import (
     DEFAULT_KERNEL_TIER,
@@ -37,7 +36,6 @@ EXPECTED_KERNELS = {
     "popcount",
     "shift_words_right_bits",
     "shift_words_left_bits",
-    "amend_lanes",
     "count_lane_windows",
     "neighborhood_lanes",
     "zero_run_markers",
@@ -147,22 +145,8 @@ class TestKernelDispatch:
         ref = rng.integers(0, 4, size=(n_pairs, length), dtype=np.uint8)
         return pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
 
-    def test_run_gatekeeper_kernel_tier_equality(self):
-        read_words, ref_words, length = self._words()
-        outputs = [
-            run_gatekeeper_kernel(
-                read_words, ref_words, length=length, error_threshold=3, tier=tier
-            )
-            for tier in KERNEL_TIERS
-        ]
-        for other in outputs[1:]:
-            assert np.array_equal(outputs[0].accepted, other.accepted)
-            assert np.array_equal(outputs[0].estimated_edits, other.estimated_edits)
-
-    @pytest.mark.parametrize("name", ["sneakysnake", "magnet"])
+    @pytest.mark.parametrize("name", available_filters())
     def test_filter_word_path_tier_equality(self, name, no_numba):
-        from repro.engine import get_filter
-
         read_words, ref_words, length = self._words()
         instance = get_filter(name, 3)
         estimates = [

@@ -10,10 +10,9 @@ them exactly across read lengths {1, 8, 64, 100, 251} and thresholds
 import numpy as np
 import pytest
 
-from repro.core.kernel import run_gatekeeper_kernel
 from repro.engine import FilterEngine, available_filters, get_filter
-from repro.filters import packed
-from repro.filters.bitvector import amend_mask, count_set_windows
+from repro.filters import GateKeeperFilter, GateKeeperGPUFilter, packed
+from repro.filters.bitvector import count_set_windows
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
 from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
@@ -60,24 +59,6 @@ class TestPackedPrimitives:
         assert np.array_equal(got_right, expect_right)
         assert np.array_equal(got_left, expect_left)
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 8, 64, 100, 251])
-    @pytest.mark.parametrize("max_zero_run", [1, 2])
-    def test_amend_lanes_matches_reference(self, length, max_zero_run):
-        rng = np.random.default_rng(length * 10 + max_zero_run)
-        mask = (rng.random((33, length)) < 0.5).astype(np.uint8)
-        lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
-        got = packed.unpack_lanes(
-            packed.amend_lanes(lanes, valid, max_zero_run=max_zero_run), length
-        )
-        expect = np.stack([amend_mask(m, max_zero_run=max_zero_run) for m in mask])
-        assert np.array_equal(got, expect)
-
-    def test_amend_lanes_rejects_unsupported_run_length(self):
-        lanes = packed.pack_lanes(np.zeros((1, 8), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            packed.amend_lanes(lanes, packed.lane_span_mask(0, 8, 1), max_zero_run=3)
-
     @pytest.mark.parametrize("length", [1, 7, 8, 64, 100, 251])
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 8, 16, 32])
     def test_window_count_matches_reference(self, length, window):
@@ -115,6 +96,14 @@ class TestPackedPrimitives:
         assert np.array_equal(got, expect)
 
 
+def _gatekeeper_words(read, ref, length, threshold, edge_policy):
+    """The GateKeeper-family batch method for one edge policy."""
+    cls = GateKeeperGPUFilter if edge_policy == EdgePolicy.ONE else GateKeeperFilter
+    return cls(threshold).estimate_edits_words(
+        pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+    )
+
+
 class TestPackedGateKeeperKernel:
     @pytest.mark.parametrize("length", READ_LENGTHS)
     @pytest.mark.parametrize("threshold", THRESHOLDS)
@@ -122,10 +111,7 @@ class TestPackedGateKeeperKernel:
     def test_kernel_matches_scalar_mask_pipeline(self, length, threshold, edge_policy):
         rng = np.random.default_rng(hash((length, threshold, edge_policy)) % 2**32)
         read, ref = _random_pairs(rng, 60, length)
-        output = run_gatekeeper_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-            length=length, error_threshold=threshold, edge_policy=edge_policy,
-        )
+        estimates = _gatekeeper_words(read, ref, length, threshold, edge_policy)
         expect = np.array(
             [
                 count_set_windows(
@@ -138,16 +124,13 @@ class TestPackedGateKeeperKernel:
             ],
             dtype=np.int32,
         )
-        assert np.array_equal(output.estimated_edits, expect)
+        assert np.array_equal(estimates, expect)
 
     def test_kernel_length_one(self):
         read = np.array([[0], [3]], dtype=np.uint8)
         ref = np.array([[0], [1]], dtype=np.uint8)
         for threshold in (0, 1):
-            output = run_gatekeeper_kernel(
-                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-                length=1, error_threshold=threshold, edge_policy=EdgePolicy.ONE,
-            )
+            estimates = _gatekeeper_words(read, ref, 1, threshold, EdgePolicy.ONE)
             expect = np.array(
                 [
                     count_set_windows(
@@ -160,11 +143,11 @@ class TestPackedGateKeeperKernel:
                 ],
                 dtype=np.int32,
             )
-            assert np.array_equal(output.estimated_edits, expect)
+            assert np.array_equal(estimates, expect)
 
 
 class TestAllFiltersAgainstReference:
-    """Every registered filter: packed/batch/engine paths vs the scalar filter."""
+    """Every registered filter: packed/engine paths vs the scalar filter."""
 
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("length", READ_LENGTHS)
@@ -173,7 +156,9 @@ class TestAllFiltersAgainstReference:
         rng = np.random.default_rng(hash((key, length, threshold)) % 2**32)
         read, ref = _random_pairs(rng, 30, length)
         instance = get_filter(key, threshold)
-        batch = instance.estimate_edits_batch(read, ref)
+        batch = instance.estimate_edits_words(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+        )
         scalar = np.array(
             [instance.estimate_edits_codes(read[i], ref[i]) for i in range(30)],
             dtype=np.int32,
@@ -183,17 +168,16 @@ class TestAllFiltersAgainstReference:
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("length", READ_LENGTHS)
     @pytest.mark.parametrize("threshold", THRESHOLDS)
-    def test_packed_word_path_matches_batch(self, key, length, threshold):
+    def test_every_tier_matches_scalar(self, key, length, threshold):
         instance = get_filter(key, threshold)
-        packed_kernel = getattr(instance, "estimate_edits_words", None)
-        if not callable(packed_kernel):
-            pytest.skip(f"{key} runs through the engine's word kernel instead")
         rng = np.random.default_rng(hash((key, length, threshold, 1)) % 2**32)
         read, ref = _random_pairs(rng, 30, length)
-        got = packed_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
-        )
-        assert np.array_equal(got, instance.estimate_edits_batch(read, ref))
+        scalar = [instance.estimate_edits_codes(read[i], ref[i]) for i in range(30)]
+        for tier in ("numpy", "native", "auto"):
+            got = instance.estimate_edits_words(
+                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length, tier=tier
+            )
+            assert got.tolist() == scalar, tier
 
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("threshold", THRESHOLDS)
